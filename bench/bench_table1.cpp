@@ -50,6 +50,6 @@ int main() {
   std::printf(
       "\nShape check: the linear model must rank last and the two kernel/\n"
       "distance models must land close together with high R2 — see\n"
-      "EXPERIMENTS.md for the paper-vs-measured discussion.\n");
+      "the README \"Results\" section for the paper-vs-measured discussion.\n");
   return 0;
 }

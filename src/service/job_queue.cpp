@@ -111,14 +111,8 @@ void FfrService::run_job(const std::shared_ptr<Job>& job) {
   }
 
   const double run_seconds = seconds_between(job->started, Clock::now());
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    job->state = failed ? JobState::kFailed : JobState::kDone;
-    job->error = std::move(error);
-    job->run_seconds = run_seconds;
-    job->work = nullptr;
-    --impl_->active;
-  }
+  // Metrics are recorded before the terminal state is published, so a
+  // wait()/wait_all() that returns already sees this job counted.
   metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
   if (failed) {
     metrics_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
@@ -127,6 +121,14 @@ void FfrService::run_job(const std::shared_ptr<Job>& job) {
     (job->job_class == JobClass::kCampaign ? metrics_.campaign_seconds
                                            : metrics_.predict_seconds)
         .record(run_seconds);
+  }
+  {
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    job->state = failed ? JobState::kFailed : JobState::kDone;
+    job->error = std::move(error);
+    job->run_seconds = run_seconds;
+    job->work = nullptr;
+    --impl_->active;
   }
   impl_->job_done.notify_all();
 }
@@ -199,18 +201,26 @@ JobId FfrService::submit_sharded_campaign(const netlist::Netlist& nl,
   auto merge = std::make_shared<Job>();
   merge->job_class = JobClass::kCampaign;
   merge->work = [this, ids = std::move(ids), partials](Job& self) {
-    std::vector<fault::CampaignPartial> collected;
-    collected.reserve(ids.size());
+    // Every shard reaches a terminal state before the merge finishes, even
+    // when an early one failed, so a failed merge never leaves shards
+    // running behind it and its error names every failed shard.
+    std::string failures;
     for (std::size_t k = 0; k < ids.size(); ++k) {
       const JobStatus shard_status = wait(ids[k]);
       if (shard_status.state != JobState::kDone) {
-        throw std::runtime_error(
-            "ffr_service: shard job " + std::to_string(ids[k]) + " (shard " +
-            std::to_string(k) + ") " +
-            std::string(to_string(shard_status.state)) +
-            (shard_status.error.empty() ? "" : ": " + shard_status.error));
+        failures += (failures.empty() ? "" : "; ") + std::string("shard job ") +
+                    std::to_string(ids[k]) + " (shard " + std::to_string(k) +
+                    ") " + std::string(to_string(shard_status.state)) +
+                    (shard_status.error.empty() ? "" : ": " + shard_status.error);
       }
-      collected.push_back(std::move(*(*partials)[k]));
+    }
+    if (!failures.empty()) {
+      throw std::runtime_error("ffr_service: " + failures);
+    }
+    std::vector<fault::CampaignPartial> collected;
+    collected.reserve(ids.size());
+    for (std::optional<fault::CampaignPartial>& partial : *partials) {
+      collected.push_back(std::move(*partial));
     }
     self.campaign = fault::merge_partials(collected);
   };
@@ -258,9 +268,10 @@ bool FfrService::cancel(JobId id) {
     job.work = nullptr;
     --impl_->active;
     cancelled = true;
+    // Counted under the lock for the same reason as in run_job().
+    metrics_.jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
+    metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
   }
-  metrics_.jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
-  metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
   impl_->job_done.notify_all();
   return cancelled;
 }

@@ -120,7 +120,8 @@ class FfrService {
   /// first looks for its canonical partial file there (skipping the engine
   /// run when a matching one exists, counted in metrics shards_resumed vs
   /// shards_completed) and persists its partial on completion. Partials that
-  /// exist but fail validation fail that shard job — and thereby the merge.
+  /// exist but fail validation fail that shard job — and thereby the merge,
+  /// which still waits for every shard to finish and names each failed one.
   /// `config.shard` is overwritten per shard job. Returns the merge job id
   /// (a kCampaign job: fetch with campaign_result); when `shard_jobs` is
   /// non-null the N shard job ids are appended to it (each also a kCampaign

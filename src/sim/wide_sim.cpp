@@ -205,12 +205,14 @@ WideSimulator<W>::WideSimulator(const netlist::Netlist& nl, std::size_t blocks)
   }
   next_state_.assign(ffs_.size() * blocks_, Block::zero());
 
-  // Net -> reading-op fanout in CSR form (counting sort by input net);
-  // identical construction to the scalar PackedSimulator.
+  // Net -> readers in CSR form (counting sort by input net): the ops
+  // reading the net, then the flip-flops reading it as D, tagged with
+  // kFfReader so one scan schedules both.
   fanout_begin_.assign(nl.num_nets() + 1, 0);
   for (const Op& op : ops_) {
     for (std::size_t i = 0; i < op.num_inputs; ++i) ++fanout_begin_[op.in[i] + 1];
   }
+  for (const FfSlot& ff : ffs_) ++fanout_begin_[ff.d + 1];
   for (std::size_t n = 1; n < fanout_begin_.size(); ++n) {
     fanout_begin_[n] += fanout_begin_[n - 1];
   }
@@ -221,6 +223,9 @@ WideSimulator<W>::WideSimulator(const netlist::Netlist& nl, std::size_t blocks)
     for (std::size_t i = 0; i < op.num_inputs; ++i) {
       fanout_ops_[cursor[op.in[i]]++] = idx;
     }
+  }
+  for (std::uint32_t i = 0; i < ffs_.size(); ++i) {
+    fanout_ops_[cursor[ffs_[i].d]++] = i | kFfReader;
   }
   op_level_.resize(ops_.size());
   std::vector<std::uint32_t> net_level(nl.num_nets(), 0);
@@ -239,7 +244,10 @@ WideSimulator<W>::WideSimulator(const netlist::Netlist& nl, std::size_t blocks)
 
   net_dirty_.assign(nl.num_nets(), 0);
   op_pending_.assign(ops_.size(), 0);
+  ff_pending_.assign(ffs_.size(), 0);
   dirty_nets_.reserve(64);
+  tick_ffs_.reserve(ffs_.size());
+  committed_ffs_.reserve(ffs_.size());
 
   reset();
 }
@@ -297,11 +305,28 @@ template <std::size_t W>
 void WideSimulator<W>::schedule_fanout(netlist::NetId net) {
   for (std::uint32_t f = fanout_begin_[net]; f < fanout_begin_[net + 1]; ++f) {
     const std::uint32_t idx = fanout_ops_[f];
-    if (!op_pending_[idx]) {
+    if (idx & kFfReader) {
+      schedule_ff(idx & ~kFfReader);
+    } else if (!op_pending_[idx]) {
       op_pending_[idx] = 1;
       level_buckets_[op_level_[idx]].push_back(idx);
     }
   }
+}
+
+template <std::size_t W>
+void WideSimulator<W>::schedule_ff(std::uint32_t slot) {
+  if (!ff_pending_[slot]) {
+    ff_pending_[slot] = 1;
+    tick_ffs_.push_back(slot);
+  }
+}
+
+template <std::size_t W>
+void WideSimulator<W>::schedule_all_ffs() {
+  tick_ffs_.resize(ffs_.size());
+  for (std::uint32_t i = 0; i < ffs_.size(); ++i) tick_ffs_[i] = i;
+  std::fill(ff_pending_.begin(), ff_pending_.end(), std::uint8_t{1});
 }
 
 template <std::size_t W>
@@ -320,6 +345,8 @@ void WideSimulator<W>::eval() {
                       v + static_cast<std::size_t>(op.out) * blocks_);
   }
   clear_dirty();
+  // A full sweep records no per-net changes, so any D may have moved.
+  schedule_all_ffs();
   coherent_ = true;
 }
 
@@ -364,20 +391,31 @@ void WideSimulator<W>::eval_incremental() {
 
 template <std::size_t W>
 void WideSimulator<W>::tick() {
-  for (std::size_t i = 0; i < ffs_.size(); ++i) {
-    const Block* d = values_.data() + static_cast<std::size_t>(ffs_[i].d) * blocks_;
-    for (std::size_t b = 0; b < blocks_; ++b) next_state_[i * blocks_ + b] = d[b];
-  }
-  for (std::size_t i = 0; i < ffs_.size(); ++i) {
-    Block* q = values_.data() + static_cast<std::size_t>(ffs_[i].q) * blocks_;
+  Block* const v = values_.data();
+  // Gather: every queued FF whose Q differs from its D copies the pre-edge
+  // D, so an FF-to-FF chain (D = another FF's Q) never sees a new Q.
+  committed_ffs_.clear();
+  for (const std::uint32_t i : tick_ffs_) {
+    ff_pending_[i] = 0;
+    const Block* d = v + static_cast<std::size_t>(ffs_[i].d) * blocks_;
+    const Block* q = v + static_cast<std::size_t>(ffs_[i].q) * blocks_;
     bool changed = false;
-    for (std::size_t b = 0; b < blocks_; ++b) {
-      if (differs(q[b], next_state_[i * blocks_ + b])) {
-        q[b] = next_state_[i * blocks_ + b];
-        changed = true;
-      }
+    for (std::size_t b = 0; b < blocks_; ++b) changed |= differs(d[b], q[b]);
+    if (changed) {
+      Block* next = next_state_.data() + committed_ffs_.size() * blocks_;
+      for (std::size_t b = 0; b < blocks_; ++b) next[b] = d[b];
+      committed_ffs_.push_back(i);
     }
-    if (changed) mark_dirty(ffs_[i].q);
+  }
+  tick_ffs_.clear();
+  // Commit: the new Qs mark their nets dirty; the next sweep drains them
+  // and queues the FFs reading them as D.
+  for (std::size_t k = 0; k < committed_ffs_.size(); ++k) {
+    const netlist::NetId q_net = ffs_[committed_ffs_[k]].q;
+    Block* q = v + static_cast<std::size_t>(q_net) * blocks_;
+    const Block* next = next_state_.data() + k * blocks_;
+    for (std::size_t b = 0; b < blocks_; ++b) q[b] = next[b];
+    mark_dirty(q_net);
   }
 }
 
@@ -394,6 +432,7 @@ void WideSimulator<W>::inject(netlist::CellId ff_cell, const Block& mask,
   if (any(mask)) {
     values_[static_cast<std::size_t>(ffs_[slot].q) * blocks_ + block] ^= mask;
     mark_dirty(ffs_[slot].q);
+    schedule_ff(slot);  // Q != D now: the next edge must overwrite (or keep) it
   }
 }
 

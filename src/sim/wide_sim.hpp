@@ -11,15 +11,18 @@
 /// SIMD ops on adjacent cache lines (net-major storage: net n's blocks are
 /// contiguous at [n * blocks, (n + 1) * blocks)).
 ///
-/// WideSimulator<W> mirrors PackedSimulator exactly — same levelized op
-/// list, same fanout-CSR dirty-set machinery (dirty is tracked per net, a
-/// net is dirty when any of its blocks changed), same coherence contract
-/// after restore_ff_state() — and every lane is bit-identical to the scalar
-/// simulator running that lane's scenario (the scalar 64-bit path in
-/// packed_sim.hpp is deliberately untouched as the differential reference;
-/// see tests/test_lane_width.cpp). Blocks cross this interface by reference
-/// only: the SIMD argument ABI of the build flags never leaks between
-/// translation units.
+/// WideSimulator<W> shares PackedSimulator's levelized op list, fanout-CSR
+/// dirty-set machinery (dirty is tracked per net, a net is dirty when any of
+/// its blocks changed) and coherence contract after restore_ff_state(), and
+/// every lane is bit-identical to the scalar simulator running that lane's
+/// scenario (the scalar 64-bit path in packed_sim.hpp is deliberately
+/// untouched as the differential reference; see tests/test_lane_width.cpp).
+/// It differs in one mechanism: tick() is event-driven. The scalar tick
+/// visits every flip-flop; this one visits only the flip-flops whose D net
+/// changed or whose Q was injected since the last edge, which yields the
+/// same state because every other flip-flop already holds Q == D. Blocks
+/// cross this interface by reference only: the SIMD argument ABI of the
+/// build flags never leaks between translation units.
 
 #include <cstdint>
 #include <span>
@@ -65,7 +68,21 @@ class WideSimulator {
   /// that were dirtied before the restore and never restored themselves.
   void eval_incremental();
 
-  /// Clock edge: every flip-flop captures its D input. Call eval() first.
+  /// Clock edge: every flip-flop captures its D input. Call eval() or
+  /// eval_incremental() first: the sweep is what queues the flip-flops
+  /// whose D changed.
+  ///
+  /// Invariant: every flip-flop outside the tick queue holds Q == D. An edge
+  /// leaves Q == D behind on every flip-flop it captures, and until the next
+  /// one only two things can break that for a flip-flop: its D net changes
+  /// (a primary input, a loopback, another flip-flop's Q, or a swept op's
+  /// output — eval_incremental() queues the D readers of every net it drains
+  /// or re-evaluates to a new value), or inject() flips its Q (inject()
+  /// queues it). So tick() visits only the queue: gather every D, then
+  /// commit every Q. eval() records no per-net changes and queues every
+  /// flip-flop, so the first edge after reset() or a restore_ff_state()
+  /// resync, and every edge of the full-sweep replay modes, ticks all of
+  /// them.
   void tick();
 
   /// Flips the stored state of a flip-flop in the lanes of block `block`
@@ -123,6 +140,8 @@ class WideSimulator {
 
   void mark_dirty(netlist::NetId net);
   void schedule_fanout(netlist::NetId net);
+  void schedule_ff(std::uint32_t slot);
+  void schedule_all_ffs();
   void clear_dirty();
 
   const netlist::Netlist* nl_;
@@ -130,19 +149,28 @@ class WideSimulator {
   std::vector<Op> ops_;              // combinational cells, topo order
   std::vector<FfSlot> ffs_;          // all flip-flops
   std::vector<Block> values_;        // net-major: blocks_ blocks per net
-  std::vector<Block> next_state_;    // scratch for tick(), ff-major
+  std::vector<Block> next_state_;    // scratch for tick(), committed_ffs_-major
   std::vector<std::uint32_t> ff_slot_;  // CellId -> index into ffs_ (or ~0)
 
   // Dirty-set machinery, identical in structure to PackedSimulator (see
-  // packed_sim.hpp for the level-bucket scheduling rationale).
+  // packed_sim.hpp for the level-bucket scheduling rationale), except that
+  // the fanout also lists the flip-flops reading a net as D, tagged with
+  // kFfReader: those go to the tick queue, not to a level bucket.
+  static constexpr std::uint32_t kFfReader = std::uint32_t{1} << 31;
   std::vector<std::uint32_t> fanout_begin_;
-  std::vector<std::uint32_t> fanout_ops_;
+  std::vector<std::uint32_t> fanout_ops_;  // op index, or FF slot | kFfReader
   std::vector<std::uint32_t> op_level_;
   std::vector<std::vector<std::uint32_t>> level_buckets_;
   std::vector<netlist::NetId> dirty_nets_;
   std::vector<std::uint8_t> net_dirty_;
   std::vector<std::uint8_t> op_pending_;
   bool coherent_ = false;
+
+  // Event-driven tick: the deduplicated queue of FFs (indices into ffs_) the
+  // next tick() visits, and its scratch list of FFs whose Q the edge changes.
+  std::vector<std::uint32_t> tick_ffs_;
+  std::vector<std::uint8_t> ff_pending_;
+  std::vector<std::uint32_t> committed_ffs_;
 
   std::uint64_t eval_count_ = 0;
   std::uint64_t ops_evaluated_ = 0;

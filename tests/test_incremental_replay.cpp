@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/mac_core.hpp"
@@ -122,48 +124,165 @@ sim::LaneBlock<W> random_block(util::Rng& rng) {
   return block;
 }
 
+/// The full-eval simulator queues every flip-flop for every edge, so it is
+/// the all-FF tick reference for the incremental one's event-driven tick.
 template <std::size_t W>
-void check_wide_dirty_set_matches_full() {
+void check_wide_dirty_set_matches_full(std::size_t blocks) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     circuits::RandomCircuitConfig cc;
     cc.num_gates = 50 + 25 * static_cast<std::size_t>(seed % 3);
     cc.num_flip_flops = 6 + 3 * static_cast<std::size_t>(seed % 2);
     cc.seed = seed;
     const netlist::Netlist nl = circuits::build_random_circuit(cc);
-    sim::WideSimulator<W> full(nl);
-    sim::WideSimulator<W> incremental(nl);
-    util::Rng rng(seed * 55 + 2);
+    sim::WideSimulator<W> full(nl, blocks);
+    sim::WideSimulator<W> incremental(nl, blocks);
+    util::Rng rng(seed * 55 + 2 + blocks);
     const auto pis = nl.primary_inputs();
     const auto ffs = nl.flip_flops();
     for (int cycle = 0; cycle < 24; ++cycle) {
       for (const netlist::NetId pi : pis) {
-        const auto value = random_block<W>(rng);
-        full.set_input(pi, value);
-        incremental.set_input(pi, value);
+        // Per-block inputs, so blocks diverge the way loopbacks make them.
+        for (std::size_t b = 0; b < blocks; ++b) {
+          const auto value = random_block<W>(rng);
+          full.set_input_block(pi, b, value);
+          incremental.set_input_block(pi, b, value);
+        }
       }
       if (!ffs.empty() && rng.bernoulli(0.3)) {
         const netlist::CellId cell = ffs[rng.below(ffs.size())];
         const auto mask = random_block<W>(rng);
-        full.inject(cell, mask);
-        incremental.inject(cell, mask);
+        const std::size_t block = rng.below(blocks);
+        full.inject(cell, mask, block);
+        incremental.inject(cell, mask, block);
       }
       full.eval();
       incremental.eval_incremental();
       for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
-        ASSERT_FALSE(differs(full.value(net), incremental.value(net)))
-            << "W=" << W << " seed " << seed << " cycle " << cycle << " net "
-            << net << " (" << nl.net(net).name << ")";
+        for (std::size_t b = 0; b < blocks; ++b) {
+          ASSERT_FALSE(differs(full.value(net, b), incremental.value(net, b)))
+              << "W=" << W << " blocks " << blocks << " seed " << seed
+              << " cycle " << cycle << " net " << net << " block " << b << " ("
+              << nl.net(net).name << ")";
+        }
       }
       full.tick();
       incremental.tick();
+      for (const netlist::CellId ff : ffs) {
+        for (std::size_t b = 0; b < blocks; ++b) {
+          ASSERT_FALSE(differs(full.ff_state(ff, b), incremental.ff_state(ff, b)))
+              << "W=" << W << " blocks " << blocks << " seed " << seed
+              << " cycle " << cycle << " ff " << nl.cell(ff).name << " block " << b;
+        }
+      }
     }
     EXPECT_LE(incremental.ops_evaluated(), full.ops_evaluated())
-        << "W=" << W << " seed " << seed;
+        << "W=" << W << " blocks " << blocks << " seed " << seed;
   }
 }
 
-TEST(WideDirtySetEval, MatchesFullEvalAt256) { check_wide_dirty_set_matches_full<4>(); }
-TEST(WideDirtySetEval, MatchesFullEvalAt512) { check_wide_dirty_set_matches_full<8>(); }
+TEST(WideDirtySetEval, MatchesFullEvalAt64) {
+  for (std::size_t blocks = 1; blocks <= 3; ++blocks) {
+    check_wide_dirty_set_matches_full<1>(blocks);
+  }
+}
+TEST(WideDirtySetEval, MatchesFullEvalAt256) {
+  for (std::size_t blocks = 1; blocks <= 3; ++blocks) {
+    check_wide_dirty_set_matches_full<4>(blocks);
+  }
+}
+TEST(WideDirtySetEval, MatchesFullEvalAt512) {
+  for (std::size_t blocks = 1; blocks <= 3; ++blocks) {
+    check_wide_dirty_set_matches_full<8>(blocks);
+  }
+}
+
+// Hand-built register patterns for the event-driven tick, each with a known
+// answer: a shift chain (D = the previous FF's Q) that must capture pre-edge
+// values, an FF fed straight from a primary input, a hold FF (D = its own Q)
+// whose injected flip persists, and injected flips overwritten at the next
+// edge because D never changed.
+TEST(WideEventTick, RegisterPatternsMatchKnownValues) {
+  using Sim = sim::WideSimulator<1>;
+  using Block = Sim::Block;
+  netlist::Netlist nl("tick_patterns");
+  const netlist::NetId in = nl.add_primary_input("in");
+  // d == kNoNet makes the FF read its own Q.
+  const auto add_dff = [&](const std::string& name, netlist::NetId d) {
+    const netlist::NetId q = nl.add_net(name + "_q");
+    netlist::Cell cell;
+    cell.name = name;
+    cell.func = netlist::CellFunc::kDff;
+    cell.inputs = {d == netlist::kNoNet ? q : d};
+    cell.output = q;
+    const netlist::CellId id = nl.add_cell(std::move(cell));
+    nl.mark_primary_output(q, name);
+    return std::pair{id, q};
+  };
+  const auto [s0, s0_q] = add_dff("s0", in);      // D = primary input
+  const auto [s1, s1_q] = add_dff("s1", s0_q);    // shift chain
+  const auto [s2, s2_q] = add_dff("s2", s1_q);
+  const auto [hold, hold_q] = add_dff("hold", netlist::kNoNet);  // D = own Q
+  (void)s2_q;
+  (void)hold_q;
+  nl.finalize();
+
+  constexpr std::size_t kBlocks = 2;
+  Sim sim(nl, kBlocks);
+  const Block lane5 = Block::lane_mask(5);
+  const auto expect_q = [&](netlist::CellId ff, std::size_t block,
+                            const Block& want, const char* when) {
+    EXPECT_FALSE(differs(sim.ff_state(ff, block), want))
+        << nl.cell(ff).name << " block " << block << " " << when;
+  };
+  const auto edge = [&] {
+    sim.eval_incremental();
+    sim.tick();
+  };
+
+  // A one shifts down the chain one stage per edge, and each stage still
+  // captures its neighbour's pre-edge Q.
+  sim.set_input(in, Block::ones());
+  edge();
+  sim.set_input(in, Block::zero());
+  edge();
+  expect_q(s0, 0, Block::zero(), "after the pulse passed s0");
+  expect_q(s1, 0, Block::ones(), "one edge after the pulse");
+  expect_q(s2, 0, Block::zero(), "before the pulse arrives");
+  edge();
+  expect_q(s1, 1, Block::zero(), "after the pulse passed s1");
+  expect_q(s2, 1, Block::ones(), "two edges after the pulse");
+  edge();
+  expect_q(s2, 0, Block::zero(), "after the pulse left the chain");
+
+  // Injected flips into s0 (D = the unchanged input) and into s1 (D = s0's
+  // unchanged Q) are overwritten at the next edge; s0's flipped pre-edge Q
+  // moves on into s1 in that lane only.
+  sim.inject(s0, lane5, 1);
+  sim.inject(s1, lane5, 0);
+  expect_q(s0, 1, lane5, "right after the inject");
+  edge();
+  expect_q(s0, 1, Block::zero(), "one edge after the inject");
+  expect_q(s1, 0, Block::zero(), "one edge after the inject");
+  expect_q(s1, 1, lane5, "one edge after s0's inject");
+  expect_q(s2, 0, lane5, "one edge after s1's inject");
+  edge();
+  edge();
+  for (const netlist::CellId ff : {s0, s1, s2}) {
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      expect_q(ff, b, Block::zero(), "once the flips left the chain");
+    }
+  }
+
+  // The hold FF keeps an injected flip on every later edge, in its block only,
+  // and a second flip of the same lane restores it.
+  sim.inject(hold, lane5, 1);
+  for (int i = 0; i < 3; ++i) edge();
+  expect_q(hold, 0, Block::zero(), "in the block not injected");
+  expect_q(hold, 1, lane5, "three edges after the inject");
+  sim.inject(hold, lane5, 1);
+  edge();
+  expect_q(hold, 1, Block::zero(), "after the flip was undone");
+}
 
 template <std::size_t W>
 void check_wide_restore_forces_resync() {
@@ -193,6 +312,14 @@ void check_wide_restore_forces_resync() {
   for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
     ASSERT_FALSE(differs(sim.value(net), reference.value(net)))
         << "W=" << W << " net " << net << " (" << nl.net(net).name << ")";
+  }
+  // The resync sweep queues every flip-flop, so the first edge after the
+  // restore captures the same state as the reference's.
+  sim.tick();
+  reference.tick();
+  for (const netlist::CellId ff : ffs) {
+    ASSERT_FALSE(differs(sim.ff_state(ff), reference.ff_state(ff)))
+        << "W=" << W << " ff " << nl.cell(ff).name;
   }
 }
 

@@ -603,6 +603,34 @@ TEST_F(ServiceTest, ShardedCampaignFailsOnInvalidPartial) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(ServiceTest, ShardedMergeWaitsForAndNamesEveryFailedShard) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "ffr_service_shard_all_invalid";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  constexpr std::size_t kShards = 3;
+  for (const std::size_t k : {std::size_t{0}, std::size_t{2}}) {
+    std::ofstream os(dir / fault::partial_filename(k, kShards));
+    os << "ffr-partial 1 campaign_shard\ntruncated";
+  }
+
+  FfrService service;
+  std::vector<JobId> shard_jobs;
+  const JobId merge_id = service.submit_sharded_campaign(
+      mac_->netlist, mac_bench_->tb, small_campaign(), kShards, dir, &shard_jobs);
+  const JobStatus merged = service.wait(merge_id);
+  EXPECT_EQ(merged.state, JobState::kFailed);
+  EXPECT_NE(merged.error.find("(shard 0)"), std::string::npos) << merged.error;
+  EXPECT_NE(merged.error.find("(shard 2)"), std::string::npos) << merged.error;
+  EXPECT_EQ(merged.error.find("(shard 1)"), std::string::npos) << merged.error;
+  // The merge went terminal only after every shard did.
+  ASSERT_EQ(shard_jobs.size(), kShards);
+  EXPECT_EQ(service.status(shard_jobs[0]).state, JobState::kFailed);
+  EXPECT_EQ(service.status(shard_jobs[1]).state, JobState::kDone);
+  EXPECT_EQ(service.status(shard_jobs[2]).state, JobState::kFailed);
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(ServiceTest, StressShardJobsRacingPredictsAndEvictionStayBitIdentical) {
   // The sharded-campaign TSan exercise: concurrent sharded submissions on
   // both circuits, racing predict jobs and explicit eviction under a 1-byte
