@@ -33,14 +33,25 @@ class KnnRegressor final : public Regressor {
   void set_params(const ParamMap& params) override;
   [[nodiscard]] ParamMap get_params() const override;
 
-  [[nodiscard]] double distance(std::span<const double> a,
-                                std::span<const double> b) const;
-
  private:
+  /// Minkowski distances for p != 2 (predict() keeps the Euclidean row
+  /// loop) from `query` to every training sample, in training order; `out`
+  /// has train_cols_.cols() entries (the tail past the training set is
+  /// padding).
+  void distances(std::span<const double> query, std::span<double> out) const;
+  /// Builds train_cols_ from train_x_.
+  void build_columns();
+
   std::size_t k_;
   double p_;
   KnnWeights weights_;
+  /// Training features as fit() received them, one sample per row: save()
+  /// writes them and the Euclidean distance loop reads them.
   Matrix train_x_;
+  /// The same features feature-major: row d holds feature d of every
+  /// training sample, zero-padded to whole SIMD vectors, so a query's
+  /// distances for p != 2 accumulate one contiguous feature column at a time.
+  Matrix train_cols_;
   Vector train_y_;
 };
 

@@ -10,6 +10,7 @@
 /// (model_zoo.hpp) constructs them by name with the paper's tuned
 /// configurations.
 
+#include <cmath>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -71,8 +72,10 @@ class Regressor {
   virtual void save(std::ostream& os) const = 0;
 
  protected:
-  /// Validates fit() inputs; the error names both shapes.
-  /// \throws std::invalid_argument on an empty matrix or a row/label mismatch.
+  /// Validates fit() inputs; the error names both shapes, or the position
+  /// of the first non-finite value.
+  /// \throws std::invalid_argument on an empty matrix, a row/label mismatch,
+  /// or a NaN/infinite feature or label.
   static void check_fit_args(const Matrix& x, std::span<const double> y) {
     if (x.rows() == 0 || x.cols() == 0) {
       throw std::invalid_argument("fit: empty design matrix (X is " +
@@ -84,11 +87,21 @@ class Regressor {
           "fit: X has " + std::to_string(x.rows()) + " rows but y has " +
           std::to_string(y.size()) + " labels");
     }
+    check_finite("fit", x);
+    for (std::size_t r = 0; r < y.size(); ++r) {
+      if (!std::isfinite(y[r])) {
+        throw std::invalid_argument("fit: label y[" + std::to_string(r) +
+                                    "] is not finite (" +
+                                    std::to_string(y[r]) + ")");
+      }
+    }
   }
 
   /// Validates that predict() sees the feature count the model was fitted
-  /// on; the error names the model and both shapes.
-  /// \throws std::invalid_argument on feature-count drift.
+  /// on and only finite values; the error names the model and both shapes,
+  /// or the position of the first non-finite value.
+  /// \throws std::invalid_argument on feature-count drift or a NaN/infinite
+  /// feature.
   static void check_predict_args(std::string_view model,
                                  std::size_t fitted_features, const Matrix& x) {
     if (x.cols() != fitted_features) {
@@ -96,6 +109,21 @@ class Regressor {
           std::string(model) + " predict: model was fitted on " +
           std::to_string(fitted_features) + " features but X is " +
           std::to_string(x.rows()) + "x" + std::to_string(x.cols()));
+    }
+    check_finite(std::string(model) + " predict", x);
+  }
+
+  /// \throws std::invalid_argument naming `what` and the row and column of
+  /// the first NaN or infinite value of \p x.
+  static void check_finite(std::string_view what, const Matrix& x) {
+    const std::span<const double> values = x.data();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (!std::isfinite(values[i])) {
+        throw std::invalid_argument(
+            std::string(what) + ": X[" + std::to_string(i / x.cols()) + "][" +
+            std::to_string(i % x.cols()) + "] is not finite (" +
+            std::to_string(values[i]) + ")");
+      }
     }
   }
 };

@@ -38,12 +38,14 @@ class ScaledPipeline final : public Regressor {
 
   /// Fits the scaler on `x`, then the inner model on the scaled features.
   void fit(const Matrix& x, std::span<const double> y) override {
+    check_fit_args(x, y);  // before scaling spreads a NaN over its column
     scaler_.fit(x);
     inner_->fit(scaler_.transform(x), y);
   }
 
   /// Scales `x` with the fitted statistics and delegates to the inner model.
   [[nodiscard]] Vector predict(const Matrix& x) const override {
+    check_finite(name() + " predict", x);
     return inner_->predict(scaler_.transform(x));
   }
 

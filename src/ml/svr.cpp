@@ -1,40 +1,84 @@
 #include "ml/svr.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <string>
 
 #include "ml/serialize.hpp"
+#include "ml/simd.hpp"
 
 namespace ffr::ml {
 
+namespace {
+
+/// Highest polynomial-kernel degree a config may ask for.
+constexpr int kMaxPolyDegree = 64;
+
+[[noreturn]] void reject(const std::string& what, double value) {
+  throw std::invalid_argument("svr: " + what + ", got " +
+                              std::to_string(value));
+}
+
+/// Every check is written so that NaN fails it.
+void validate(const SvrConfig& config) {
+  if (!(config.c > 0.0 && std::isfinite(config.c))) {
+    reject("C must be finite and > 0", config.c);
+  }
+  if (!(config.epsilon >= 0.0 && std::isfinite(config.epsilon))) {
+    reject("epsilon must be finite and >= 0", config.epsilon);
+  }
+  if (!(config.gamma > 0.0 && std::isfinite(config.gamma))) {
+    reject("gamma must be finite and > 0", config.gamma);
+  }
+  const int kernel = static_cast<int>(config.kernel);
+  if (kernel < 0 || kernel > 2) {
+    reject("kernel must be 0 (rbf), 1 (linear) or 2 (poly)", kernel);
+  }
+  if (config.poly_degree < 1 || config.poly_degree > kMaxPolyDegree) {
+    reject("degree must be in [1, " + std::to_string(kMaxPolyDegree) + "]",
+           config.poly_degree);
+  }
+}
+
+}  // namespace
+
 SvrRegressor::SvrRegressor(SvrConfig config) : config_(config) {
-  if (config.c <= 0.0) throw std::invalid_argument("svr: C must be > 0");
-  if (config.epsilon < 0.0) throw std::invalid_argument("svr: epsilon >= 0");
-  if (config.gamma <= 0.0) throw std::invalid_argument("svr: gamma must be > 0");
+  validate(config_);
 }
 
 void SvrRegressor::set_params(const ParamMap& params) {
+  SvrConfig next = config_;
   for (const auto& [key, value] : params) {
     if (key == "C") {
-      if (value <= 0) throw std::invalid_argument("svr: C must be > 0");
-      config_.c = value;
+      next.c = value;
     } else if (key == "epsilon") {
-      if (value < 0) throw std::invalid_argument("svr: epsilon >= 0");
-      config_.epsilon = value;
+      next.epsilon = value;
     } else if (key == "gamma") {
-      if (value <= 0) throw std::invalid_argument("svr: gamma must be > 0");
-      config_.gamma = value;
+      next.gamma = value;
     } else if (key == "kernel") {
-      config_.kernel = static_cast<SvrKernel>(static_cast<int>(value));
+      // Categorical: checked as a double, before any integer conversion.
+      if (value != 0.0 && value != 1.0 && value != 2.0) {
+        reject("kernel must be 0 (rbf), 1 (linear) or 2 (poly)", value);
+      }
+      next.kernel = static_cast<SvrKernel>(static_cast<int>(value));
     } else if (key == "degree") {
-      config_.poly_degree = static_cast<int>(value);
+      if (!(value >= 1.0 && value <= kMaxPolyDegree) ||
+          value != std::floor(value)) {
+        reject("degree must be an integer in [1, " +
+                   std::to_string(kMaxPolyDegree) + "]",
+               value);
+      }
+      next.poly_degree = static_cast<int>(value);
     } else {
       throw std::invalid_argument("svr: unknown parameter '" + key + "'");
     }
   }
+  validate(next);
+  config_ = next;
 }
 
 ParamMap SvrRegressor::get_params() const {
@@ -98,7 +142,7 @@ std::unique_ptr<SvrRegressor> SvrRegressor::load_body(std::istream& is) {
                              std::to_string(kernel));
   }
   config.kernel = static_cast<SvrKernel>(static_cast<int>(kernel));
-  config.poly_degree = static_cast<int>(io::read_size(is));
+  config.poly_degree = static_cast<int>(io::read_size(is, kMaxPolyDegree));
   config.tol = io::read_double(is);
   config.max_passes = static_cast<std::size_t>(io::read_size(is));
   auto model = std::make_unique<SvrRegressor>(config);
@@ -124,6 +168,108 @@ std::unique_ptr<SvrRegressor> SvrRegressor::load_body(std::istream& is) {
   return model;
 }
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+using simd::IndexVec;
+using simd::kLanes;
+using simd::Vec;
+
+/// Feasible-b interval of one point as offsets from its error
+/// E = y - f: low = E + lo, up = E + up. `e - eps` is exactly `e + (-eps)`
+/// in IEEE arithmetic and `e + (-inf)` is -inf, so the offsets reproduce the
+/// interval of every box status without re-deriving the status per scan.
+struct BoundOffsets {
+  double lo;
+  double up;
+};
+
+BoundOffsets bound_offsets(double beta, double c, double eps) {
+  const double margin = 1e-12 * std::max(1.0, c);
+  if (beta > margin && beta < c - margin) return {-eps, -eps};  // free, > 0
+  if (beta < -margin && beta > -c + margin) return {eps, eps};  // free, < 0
+  if (std::abs(beta) <= margin) return {-eps, eps};             // zero
+  if (beta >= c - margin) return {-kInf, -eps};  // at +C: b <= E - eps
+  return {eps, kInf};                            // at -C: b >= E + eps
+}
+
+/// The most-violating pair of the optimality condition max low <= min up:
+/// i_low is the first index of the largest low, j_up the first index of the
+/// smallest up (index 0 when every bound is infinite).
+struct ViolatingPair {
+  double max_low = -kInf;
+  double min_up = kInf;
+  std::size_t i_low = 0;
+  std::size_t j_up = 0;
+};
+
+/// Padded SMO working set: every array has a multiple of kLanes entries and
+/// the padding entries have the bounds (-inf, +inf), so they never win.
+struct SmoState {
+  std::size_t n_pad = 0;
+  std::vector<double> k;   // kernel matrix, row stride n_pad, zero padding
+  std::vector<double> y;
+  std::vector<double> f;   // f_i = sum_j beta_j K_ij (bias-free prediction)
+  std::vector<double> lo;  // bound offsets of each point
+  std::vector<double> up;
+};
+
+/// One pass over the working set: when kUpdate, applies
+/// f += delta * (K_i - K_j) first, then selects the most-violating pair of
+/// the resulting state. Each lane keeps the first index of its own extreme
+/// (strict comparisons), so the first index of the overall extreme is the
+/// smallest lane index among the lanes that reach it: the pair a plain
+/// first-index scan picks. The inputs are finite, so no NaN breaks the
+/// ordering.
+template <bool kUpdate>
+ViolatingPair sweep(SmoState& s, std::size_t i, std::size_t j, double delta) {
+  const double* k_i = s.k.data() + i * s.n_pad;
+  const double* k_j = s.k.data() + j * s.n_pad;
+  double* f = s.f.data();
+  const Vec d = simd::splat(delta);
+  Vec max_low = simd::splat(-kInf);
+  Vec min_up = simd::splat(kInf);
+  IndexVec i_low = {};
+  IndexVec j_up = {};
+  IndexVec index = simd::iota(0);
+  for (std::size_t t = 0; t < s.n_pad; t += kLanes) {
+    Vec ft = simd::load(f + t);
+    if constexpr (kUpdate) {
+      ft += d * (simd::load(k_i + t) - simd::load(k_j + t));
+      simd::store(f + t, ft);
+    }
+    const Vec e = simd::load(s.y.data() + t) - ft;
+    const Vec low = e + simd::load(s.lo.data() + t);
+    const Vec up = e + simd::load(s.up.data() + t);
+    const IndexVec raises = low > max_low;
+    max_low = raises ? low : max_low;
+    i_low = raises ? index : i_low;
+    const IndexVec lowers = up < min_up;
+    min_up = lowers ? up : min_up;
+    j_up = lowers ? index : j_up;
+    index += static_cast<std::int64_t>(kLanes);
+  }
+  ViolatingPair pair;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const auto li = static_cast<std::size_t>(i_low[l]);
+    if (max_low[l] > pair.max_low ||
+        (max_low[l] == pair.max_low && li < pair.i_low)) {
+      pair.max_low = max_low[l];
+      pair.i_low = li;
+    }
+    const auto lj = static_cast<std::size_t>(j_up[l]);
+    if (min_up[l] < pair.min_up ||
+        (min_up[l] == pair.min_up && lj < pair.j_up)) {
+      pair.min_up = min_up[l];
+      pair.j_up = lj;
+    }
+  }
+  return pair;
+}
+
+}  // namespace
+
 void SvrRegressor::fit(const Matrix& x, std::span<const double> y) {
   check_fit_args(x, y);
   n_features_ = x.cols();
@@ -131,40 +277,33 @@ void SvrRegressor::fit(const Matrix& x, std::span<const double> y) {
   const double c = config_.c;
   const double eps = config_.epsilon;
 
+  SmoState s;
+  s.n_pad = simd::round_up(n);
   // Kernel matrix cache (n is ~1k at most in our workloads: fine).
-  Matrix k(n, n);
+  s.k.assign(n * s.n_pad, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
       const double kij = kernel(x.row(i), x.row(j));
-      k(i, j) = kij;
-      k(j, i) = kij;
+      s.k[i * s.n_pad + j] = kij;
+      s.k[j * s.n_pad + i] = kij;
     }
   }
-
-  Vector beta(n, 0.0);
-  Vector f(n, 0.0);  // f_i = sum_j beta_j K_ij (bias-free prediction)
-
-  // Feasible-b interval per point, given beta_i's status (see DESIGN notes):
-  // the optimum requires max_i low_i <= min_i up_i.
-  const auto b_bounds = [&](std::size_t i) {
-    const double e_i = y[i] - f[i];
-    double low = -std::numeric_limits<double>::infinity();
-    double up = std::numeric_limits<double>::infinity();
-    const double margin = 1e-12 * std::max(1.0, c);
-    if (beta[i] > margin && beta[i] < c - margin) {
-      low = up = e_i - eps;
-    } else if (beta[i] < -margin && beta[i] > -c + margin) {
-      low = up = e_i + eps;
-    } else if (std::abs(beta[i]) <= margin) {
-      low = e_i - eps;
-      up = e_i + eps;
-    } else if (beta[i] >= c - margin) {
-      up = e_i - eps;  // b can be anything <= E_i - eps
-    } else {           // beta_i <= -c + margin
-      low = e_i + eps;
-    }
-    return std::pair{low, up};
+  const auto k = [&](std::size_t i, std::size_t j) {
+    return s.k[i * s.n_pad + j];
   };
+  s.y.assign(s.n_pad, 0.0);
+  std::copy(y.begin(), y.end(), s.y.begin());
+  s.f.assign(s.n_pad, 0.0);
+  s.lo.assign(s.n_pad, -kInf);
+  s.up.assign(s.n_pad, kInf);
+  Vector beta(n, 0.0);
+  const auto set_offsets = [&](std::size_t t) {
+    const BoundOffsets offsets = bound_offsets(beta[t], c, eps);
+    s.lo[t] = offsets.lo;
+    s.up[t] = offsets.up;
+  };
+  for (std::size_t t = 0; t < n; ++t) set_offsets(t);
+  const std::span<const double> f(s.f.data(), n);
 
   // Exact change of the dual objective when beta_i += delta, beta_j -= delta.
   const auto delta_objective = [&](std::size_t i, std::size_t j, double delta,
@@ -176,43 +315,31 @@ void SvrRegressor::fit(const Matrix& x, std::span<const double> y) {
     return smooth + l1;
   };
 
+  // Each pass updates the pair the previous sweep selected, and the sweep
+  // that applies the update selects the next pair. A pass that cannot move
+  // the pair leaves the state as it is, so every later pass would pick the
+  // same pair and stall the same way: stop there instead of spinning out
+  // the pass budget.
+  ViolatingPair pair = sweep<false>(s, 0, 0, 0.0);
   std::size_t passes = 0;
-  double gap = std::numeric_limits<double>::infinity();
+  double gap = kInf;
   while (passes < config_.max_passes) {
-    // Most-violating pair: i maximizing low_i, j minimizing up_j.
-    double max_low = -std::numeric_limits<double>::infinity();
-    double min_up = std::numeric_limits<double>::infinity();
-    std::size_t i_low = 0;
-    std::size_t j_up = 0;
-    for (std::size_t t = 0; t < n; ++t) {
-      const auto [low, up] = b_bounds(t);
-      if (low > max_low) {
-        max_low = low;
-        i_low = t;
-      }
-      if (up < min_up) {
-        min_up = up;
-        j_up = t;
-      }
-    }
-    gap = max_low - min_up;
+    gap = pair.max_low - pair.min_up;
     if (gap <= config_.tol) break;
 
-    const std::size_t i = i_low;
-    const std::size_t j = j_up;
+    const std::size_t i = pair.i_low;
+    const std::size_t j = pair.j_up;
     const double eta = k(i, i) + k(j, j) - 2.0 * k(i, j);
 
     // Candidate deltas: box ends, sign breakpoints, and the stationary
     // points of the four smooth branches; the exact 1-D objective picks.
     const double lo = std::max(-c - beta[i], beta[j] - c);
     const double hi = std::min(c - beta[i], beta[j] + c);
-    if (hi <= lo) {
-      ++passes;
-      continue;
-    }
-    std::vector<double> candidates{lo, hi};
+    if (hi <= lo) break;
+    std::array<double, 8> candidates{lo, hi};
+    std::size_t num_candidates = 2;
     const auto add_candidate = [&](double d) {
-      if (d > lo && d < hi) candidates.push_back(d);
+      if (d > lo && d < hi) candidates[num_candidates++] = d;
     };
     add_candidate(-beta[i]);
     add_candidate(beta[j]);
@@ -226,45 +353,34 @@ void SvrRegressor::fit(const Matrix& x, std::span<const double> y) {
     }
     double best_delta = 0.0;
     double best_obj = 0.0;  // objective change of delta = 0
-    for (const double d : candidates) {
-      const double obj = delta_objective(i, j, d, eta);
+    for (std::size_t m = 0; m < num_candidates; ++m) {
+      const double obj = delta_objective(i, j, candidates[m], eta);
       if (obj < best_obj - 1e-15) {
         best_obj = obj;
-        best_delta = d;
+        best_delta = candidates[m];
       }
     }
-    if (best_delta == 0.0) {
-      // Numerically stuck on this pair; nudge the gap check forward.
-      ++passes;
-      continue;
-    }
+    if (best_delta == 0.0) break;  // numerically stuck on this pair
     beta[i] += best_delta;
     beta[j] -= best_delta;
-    for (std::size_t t = 0; t < n; ++t) {
-      f[t] += best_delta * (k(i, t) - k(j, t));
-    }
+    set_offsets(i);
+    set_offsets(j);
+    pair = sweep<true>(s, i, j, best_delta);
     ++passes;
   }
   final_gap_ = gap;
 
-  // Bias: midpoint of the residual feasible-b interval.
-  {
-    double max_low = -std::numeric_limits<double>::infinity();
-    double min_up = std::numeric_limits<double>::infinity();
-    for (std::size_t t = 0; t < n; ++t) {
-      const auto [low, up] = b_bounds(t);
-      max_low = std::max(max_low, low);
-      min_up = std::min(min_up, up);
-    }
-    if (std::isfinite(max_low) && std::isfinite(min_up)) {
-      bias_ = 0.5 * (max_low + min_up);
-    } else if (std::isfinite(max_low)) {
-      bias_ = max_low;
-    } else if (std::isfinite(min_up)) {
-      bias_ = min_up;
-    } else {
-      bias_ = linalg::mean(y);
-    }
+  // Bias: midpoint of the residual feasible-b interval. The last sweep saw
+  // the final state, and its first-index extrema equal std::max/std::min
+  // folds over the same values.
+  if (std::isfinite(pair.max_low) && std::isfinite(pair.min_up)) {
+    bias_ = 0.5 * (pair.max_low + pair.min_up);
+  } else if (std::isfinite(pair.max_low)) {
+    bias_ = pair.max_low;
+  } else if (std::isfinite(pair.min_up)) {
+    bias_ = pair.min_up;
+  } else {
+    bias_ = linalg::mean(y);
   }
 
   // Keep only support vectors.

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "ml/knn.hpp"
 #include "ml/linear.hpp"
@@ -237,6 +241,111 @@ TEST(Svr, ParamPlumbing) {
   EXPECT_DOUBLE_EQ(params.at("epsilon"), 0.025);
   EXPECT_THROW(model.set_params({{"C", -1}}), std::invalid_argument);
   EXPECT_THROW(model.set_params({{"nope", 1}}), std::invalid_argument);
+}
+
+/// Runs `action` and expects std::invalid_argument whose message contains
+/// `needle` (the offending parameter or position).
+template <typename Action>
+void expect_invalid(Action action, const std::string& needle) {
+  try {
+    action();
+    ADD_FAILURE() << "no exception; expected one naming '" << needle << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Svr, RejectsNonFiniteAndOutOfRangeHyperparameters) {
+  const auto set = [](const char* key, double value) {
+    return [=] { SvrRegressor().set_params({{key, value}}); };
+  };
+  for (const double bad : {kNaN, kInf, 0.0, -1.0}) {
+    expect_invalid([&] { SvrRegressor{SvrConfig{.c = bad}}; }, "C must");
+    expect_invalid(set("C", bad), "C must");
+    expect_invalid([&] { SvrRegressor{SvrConfig{.gamma = bad}}; },
+                   "gamma must");
+    expect_invalid(set("gamma", bad), "gamma must");
+  }
+  for (const double bad : {kNaN, kInf, -0.5}) {
+    expect_invalid([&] { SvrRegressor{SvrConfig{.epsilon = bad}}; },
+                   "epsilon must");
+    expect_invalid(set("epsilon", bad), "epsilon must");
+  }
+  for (const double bad : {kNaN, kInf, -1.0, 3.0, 1.5, 1e300}) {
+    expect_invalid(set("kernel", bad), "kernel must");
+  }
+  expect_invalid([] { SvrRegressor{SvrConfig{.kernel = SvrKernel{7}}}; },
+                 "kernel must");
+  for (const double bad : {kNaN, kInf, 0.0, 2.5, 65.0, 1e300}) {
+    expect_invalid(set("degree", bad), "degree must");
+  }
+  expect_invalid([] { SvrRegressor{SvrConfig{.poly_degree = 0}}; },
+                 "degree must");
+  // A rejected update leaves every parameter as it was.
+  SvrRegressor model;
+  EXPECT_THROW(model.set_params({{"C", 2.0}, {"gamma", kNaN}}),
+               std::invalid_argument);
+  EXPECT_EQ(model.get_params(), SvrRegressor().get_params());
+  model.set_params({{"kernel", 2}, {"degree", 4}});
+  EXPECT_EQ(model.get_params().at("kernel"), 2);
+  EXPECT_EQ(model.get_params().at("degree"), 4);
+}
+
+TEST(Knn, RejectsNonFiniteAndOutOfRangeHyperparameters) {
+  const auto set = [](const char* key, double value) {
+    return [=] { KnnRegressor().set_params({{key, value}}); };
+  };
+  for (const double bad : {kNaN, kInf, 0.0, 0.5, -3.0, 1e300}) {
+    expect_invalid(set("k", bad), "k must");
+  }
+  for (const double bad : {kNaN, kInf, 0.5}) {
+    expect_invalid([&] { KnnRegressor(3, bad); }, "p must");
+    expect_invalid(set("p", bad), "p must");
+  }
+  for (const double bad : {kNaN, kInf}) {
+    expect_invalid(set("weights", bad), "weights must");
+  }
+  KnnRegressor model(3, 1.0, KnnWeights::kUniform);
+  EXPECT_THROW(model.set_params({{"k", 7}, {"p", kNaN}}),
+               std::invalid_argument);
+  EXPECT_EQ(model.get_params(),
+            KnnRegressor(3, 1.0, KnnWeights::kUniform).get_params());
+}
+
+TEST(Models, RejectNonFiniteInputsNamingThePosition) {
+  const auto p = make_linear_problem(20, 0.0, 30);
+  const std::vector<std::unique_ptr<Regressor>> models = [] {
+    std::vector<std::unique_ptr<Regressor>> out;
+    out.push_back(std::make_unique<LinearLeastSquares>());
+    out.push_back(std::make_unique<KnnRegressor>(3, 1.0));
+    out.push_back(std::make_unique<SvrRegressor>());
+    out.push_back(std::make_unique<DecisionTreeRegressor>());
+    out.push_back(make_model("knn_paper"));
+    return out;
+  }();
+  for (const auto& model : models) {
+    SCOPED_TRACE(model->name());
+    for (const double bad : {kNaN, kInf, -kInf}) {
+      Matrix x = p.x;
+      x(7, 1) = bad;
+      expect_invalid([&] { model->fit(x, p.y); }, "X[7][1]");
+      Vector y = p.y;
+      y[4] = bad;
+      expect_invalid([&] { model->fit(p.x, y); }, "y[4]");
+    }
+    // The -1 feature sentinel is an ordinary finite value.
+    Matrix sentinel = p.x;
+    sentinel(3, 0) = -1.0;
+    model->fit(sentinel, p.y);
+    Matrix query = p.x.select_rows(std::vector<std::size_t>{0, 1, 2});
+    EXPECT_NO_THROW((void)model->predict(query));
+    query(2, 0) = kNaN;
+    expect_invalid([&] { (void)model->predict(query); }, "X[2][0]");
+  }
 }
 
 TEST(Tree, FitsPiecewiseConstantExactly) {

@@ -20,6 +20,7 @@
 //    exercise (CI runs it under -fsanitize=thread).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -68,6 +69,14 @@ void expect_campaigns_bit_identical(const fault::CampaignResult& a,
   EXPECT_EQ(a.total_injections, b.total_injections);
 }
 
+/// A file or directory name in the temp directory that is unique to this
+/// process, so concurrent runs of this suite (say a Release and a sanitizer
+/// tree) never write or delete each other's files.
+std::filesystem::path temp_path(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         (name + "." + std::to_string(::getpid()));
+}
+
 /// Shared fixtures: both in-tree circuits, their testbenches, and a small
 /// persisted transfer model (trained once per process — campaigns are the
 /// expensive part of this suite).
@@ -86,8 +95,7 @@ class ServiceTest : public ::testing::Test {
     config.num_threads = 2;
     const std::vector<core::TransferCircuit> circuits = {
         {&mac_->netlist, &mac_bench_->tb}};
-    model_path_ = new std::filesystem::path(
-        std::filesystem::temp_directory_path() / "ffr_test_service_model.txt");
+    model_path_ = new std::filesystem::path(temp_path("ffr_test_service_model"));
     core::train_transfer_model(circuits, config).save(*model_path_);
   }
 
@@ -538,8 +546,7 @@ TEST_F(ServiceTest, ShardedCampaignJobBitIdenticalToDirectRun) {
 }
 
 TEST_F(ServiceTest, ShardedCampaignResumesFromPartialDir) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "ffr_service_shard_resume";
+  const auto dir = temp_path("ffr_service_shard_resume");
   std::filesystem::remove_all(dir);
 
   const fault::CampaignEngine direct(mac_->netlist, mac_bench_->tb);
@@ -577,8 +584,7 @@ TEST_F(ServiceTest, ShardedCampaignResumesFromPartialDir) {
 }
 
 TEST_F(ServiceTest, ShardedCampaignFailsOnInvalidPartial) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "ffr_service_shard_invalid";
+  const auto dir = temp_path("ffr_service_shard_invalid");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   {
@@ -604,8 +610,7 @@ TEST_F(ServiceTest, ShardedCampaignFailsOnInvalidPartial) {
 }
 
 TEST_F(ServiceTest, ShardedMergeWaitsForAndNamesEveryFailedShard) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "ffr_service_shard_all_invalid";
+  const auto dir = temp_path("ffr_service_shard_all_invalid");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   constexpr std::size_t kShards = 3;
